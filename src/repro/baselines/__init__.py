@@ -1,4 +1,4 @@
-"""Baseline matchers, implemented from scratch on numpy/scipy.
+"""Baseline matchers, implemented from scratch on numpy (scipy for LR only).
 
 Supervised (the paper's §7.1 setup: 50/50 split, match oversampling, 5-fold
 CV tuning): logistic regression, random forest, multi-layer perceptron.

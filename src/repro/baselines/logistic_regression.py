@@ -2,13 +2,13 @@
 
 The paper's "LR" baseline: a linear classifier with an L2 penalty tuned by
 5-fold cross-validation (§7.1). Implemented directly on
-``scipy.optimize.minimize`` with an analytic gradient.
+``scipy.optimize.minimize`` with an analytic gradient. scipy is an optional
+dependency (the ``baselines`` extra), imported only when a model is fitted.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from repro.utils.validation import check_feature_matrix
 
@@ -53,6 +53,13 @@ class LogisticRegression:
             raise ValueError("y must contain only 0/1 labels")
         if len(np.unique(y)) < 2:
             raise ValueError("training data must contain both classes")
+        try:
+            import scipy.optimize
+        except ImportError as exc:
+            raise ImportError(
+                "LogisticRegression needs scipy; install it with "
+                "`pip install 'repro[baselines]'`"
+            ) from exc
         n, d = X.shape
 
         def objective(params: np.ndarray) -> tuple[float, np.ndarray]:

@@ -2,7 +2,9 @@
 
 Implements the M-step statistics of the paper:
 
-* Equation (8)/(11): posterior-weighted means and per-group covariances;
+* Equation (8)/(11): posterior-weighted means and covariances (the EM
+  M-step takes one full ``d × d`` matrix per class and slices the group
+  blocks of Equation 11 out of it);
 * Equation (14)/(15): the decomposition ``S_C = Λ_C R Λ_C`` with a single
   Pearson correlation matrix ``R`` shared across classes and estimated from
   the entire dataset — the class-imbalance fix of §4.
@@ -20,7 +22,7 @@ from repro.utils.linalg import correlation_from_covariance
 __all__ = [
     "weighted_mean",
     "weighted_covariance",
-    "pooled_correlation_blocks",
+    "pooled_correlation",
     "rescale_to_correlation",
 ]
 
@@ -37,32 +39,29 @@ def weighted_covariance(X: np.ndarray, weights: np.ndarray, mean: np.ndarray) ->
     """Posterior-weighted sample covariance ``S_C`` (Equation 8).
 
     Uses the ``1/N_C`` normalization of the paper (maximum-likelihood, not
-    Bessel-corrected).
+    Bessel-corrected). ``weights`` are posteriors, so non-negative: scaling
+    the centred rows by ``√w`` makes the scatter one ``Aᵀ A`` product, which
+    BLAS evaluates as a symmetric rank-k update.
     """
     total = float(weights.sum())
     if total <= 0.0:
         raise ValueError("weights sum to zero; cannot compute a weighted covariance")
-    diff = X - mean
-    return (weights[:, None] * diff).T @ diff / total
+    scaled = X - mean
+    scaled *= np.sqrt(weights)[:, None]
+    return scaled.T @ scaled / total
 
 
-def pooled_correlation_blocks(X: np.ndarray, groups: list[list[int]]) -> list[np.ndarray]:
-    """Per-group Pearson correlation matrices estimated from **all** rows.
+def pooled_correlation(X: np.ndarray) -> np.ndarray:
+    """Pearson correlation matrix of all ``d`` features, estimated from **all** rows.
 
     This is the shared ``R`` of Equation (15): feature correlations are only
     mildly affected by class labels, so one matrix estimated from the whole
-    (unlabeled) dataset serves both classes. Zero-variance features get unit
-    diagonal and zero off-diagonals.
+    (unlabeled) dataset serves both classes. The grouped model reads only its
+    diagonal blocks ``R[g, g]``. Zero-variance features get unit diagonal and
+    zero off-diagonals.
     """
-    n = X.shape[0]
-    weights = np.full(n, 1.0)
-    blocks = []
-    for idx in groups:
-        sub = X[:, idx]
-        mean = weighted_mean(sub, weights)
-        cov = weighted_covariance(sub, weights, mean)
-        blocks.append(correlation_from_covariance(cov))
-    return blocks
+    weights = np.ones(X.shape[0])
+    return correlation_from_covariance(weighted_covariance(X, weights, weighted_mean(X, weights)))
 
 
 def rescale_to_correlation(block_cov: np.ndarray, correlation: np.ndarray) -> np.ndarray:

@@ -18,13 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import ZeroERConfig
-from repro.core.covariance import (
-    pooled_correlation_blocks,
-    rescale_to_correlation,
-    weighted_covariance,
-    weighted_mean,
-)
-from repro.core.gaussian import BlockDiagonalGaussian
+from repro.core.covariance import pooled_correlation, rescale_to_correlation, weighted_covariance
+from repro.core.gaussian import BlockDiagonalGaussian, stacked_logpdf
 from repro.core.initialization import magnitude_initialization
 from repro.core.regularization import apply_regularization, penalty_diagonal
 from repro.obs import add_counter, histogram_of, observe, set_gauge, span, telemetry_active
@@ -189,7 +184,9 @@ class EMRunner:
         config: ZeroERConfig,
         name: str = "model",
     ):
-        self.X = check_feature_matrix(X)
+        # feature-major: the M-step's weighted scatter and the E-step's GEMM
+        # then stream over columns that are contiguous in the pairs
+        self.X = np.asfortranarray(check_feature_matrix(X))
         self.config = config
         self.name = name
         d = self.X.shape[1]
@@ -211,11 +208,7 @@ class EMRunner:
         self._iteration = 0
         # The shared correlation R (§4) depends only on the data, not on the
         # posteriors — estimate it once.
-        self._shared_correlation = (
-            pooled_correlation_blocks(self.X, self.groups)
-            if config.shared_correlation
-            else None
-        )
+        self._shared_correlation = pooled_correlation(self.X) if config.shared_correlation else None
 
     @classmethod
     def from_params(
@@ -251,44 +244,42 @@ class EMRunner:
     def m_step(self) -> MixtureParameters:
         """Re-estimate π, μ_C, Σ_C from the current posteriors (Eq. 8/11/13/15).
 
-        If one component's effective mass has collapsed below
+        Both classes' means come from one ``(2 × n) @ (n × d)`` product; the
+        group blocks are sliced out of each class's full ``d × d``
+        covariance. If one component's effective mass has collapsed below
         ``config.min_component_mass``, its previous parameters are kept (a
         numerical guard; the prior keeps shrinking so EM still converges).
         """
         cfg = self.config
-        n = self.X.shape[0]
-        weights = {"M": self.gamma, "U": 1.0 - self.gamma}
-        masses = {c: float(w.sum()) for c, w in weights.items()}
+        weights = np.stack([self.gamma, 1.0 - self.gamma])
+        masses = weights.sum(axis=1)
+        sums = weights @ self.X
+        previous = (None, None) if self.params is None else (self.params.match, self.params.unmatch)
+        kept = [masses[c] < cfg.min_component_mass and previous[c] is not None for c in (0, 1)]
+        means = [previous[c].mean if kept[c] else sums[c] / masses[c] for c in (0, 1)]
+        penalty = penalty_diagonal(cfg, means[0], means[1])
 
-        means: dict[str, np.ndarray] = {}
-        for c, w in weights.items():
-            if masses[c] < cfg.min_component_mass and self.params is not None:
-                previous = self.params.match if c == "M" else self.params.unmatch
-                means[c] = previous.mean
-            else:
-                means[c] = weighted_mean(self.X, np.maximum(w, 0.0) + 1e-300)
-
-        penalty = penalty_diagonal(cfg, means["M"], means["U"])
-
-        distributions: dict[str, BlockDiagonalGaussian] = {}
-        for c, w in weights.items():
-            if masses[c] < cfg.min_component_mass and self.params is not None:
-                distributions[c] = self.params.match if c == "M" else self.params.unmatch
+        distributions = []
+        for c in (0, 1):
+            if kept[c]:
+                distributions.append(previous[c])
                 continue
-            blocks = []
-            for g, idx in enumerate(self.groups):
-                sub = self.X[:, idx]
-                cov = weighted_covariance(sub, w, means[c][idx])
-                if self._shared_correlation is not None:
-                    cov = rescale_to_correlation(cov, self._shared_correlation[g])
-                blocks.append(apply_regularization(cov, penalty, idx))
-            distributions[c] = BlockDiagonalGaussian(means[c], self.groups, blocks)
-
-        prior = float(np.clip(masses["M"] / n, cfg.prior_floor, 1.0 - cfg.prior_floor))
-        self.params = MixtureParameters(prior, distributions["M"], distributions["U"])
+            cov = weighted_covariance(self.X, weights[c], means[c])
+            if self._shared_correlation is not None:
+                cov = rescale_to_correlation(cov, self._shared_correlation)
+            cov = apply_regularization(cov, penalty)
+            blocks = [cov[np.ix_(idx, idx)] for idx in self.groups]
+            distributions.append(BlockDiagonalGaussian(means[c], self.groups, blocks))
+        prior = float(np.clip(masses[0] / self.X.shape[0], cfg.prior_floor, 1.0 - cfg.prior_floor))
+        self.params = MixtureParameters(prior, *distributions)
         return self.params
 
     # -- E-step -----------------------------------------------------------------
+
+    def _log_joint(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``log π_C + log p(x | C)`` for C = M, U, both scored in one pass."""
+        log_m, log_u = stacked_logpdf((self.params.match, self.params.unmatch), X)
+        return np.log(self.params.prior_match) + log_m, np.log1p(-self.params.prior_match) + log_u
 
     def e_step(self) -> float:
         """Update posteriors from the current parameters (Equation 3).
@@ -298,8 +289,7 @@ class EMRunner:
         """
         if self.params is None:
             raise RuntimeError("m_step must run before e_step")
-        log_m = np.log(self.params.prior_match) + self.params.match.logpdf(self.X)
-        log_u = np.log1p(-self.params.prior_match) + self.params.unmatch.logpdf(self.X)
+        log_m, log_u = self._log_joint(self.X)
         log_total = np.logaddexp(log_m, log_u)
         gamma = np.exp(log_m - log_total)
         # flush vanishing posteriors to exact zero: subnormal floats in the
@@ -523,7 +513,5 @@ class EMRunner:
         """Posterior match probabilities for new (already normalized) rows."""
         if self.params is None:
             raise RuntimeError("model has no parameters; fit first")
-        X = check_feature_matrix(X)
-        log_m = np.log(self.params.prior_match) + self.params.match.logpdf(X)
-        log_u = np.log1p(-self.params.prior_match) + self.params.unmatch.logpdf(X)
+        log_m, log_u = self._log_joint(check_feature_matrix(X))
         return np.exp(log_m - np.logaddexp(log_m, log_u))

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.em import MixtureParameters
-from repro.utils.linalg import gaussian_logpdf
 
 __all__ = ["GroupContribution", "PairExplanation", "explain_pairs"]
 
@@ -68,13 +67,8 @@ def explain_pairs(params: MixtureParameters, X: np.ndarray) -> list[PairExplanat
         raise ValueError(f"X has {X.shape[1]} features, model has {match.n_features}")
     prior_log_odds = float(np.log(params.prior_match) - np.log1p(-params.prior_match))
 
-    per_group: list[np.ndarray] = []
-    for (idx, m_block), u_block in zip(zip(match.groups, match.blocks), unmatch.blocks):
-        llr = gaussian_logpdf(X[:, idx], match.mean[idx], m_block) - gaussian_logpdf(
-            X[:, idx], unmatch.mean[idx], u_block
-        )
-        per_group.append(llr)
-    stacked = np.stack(per_group, axis=1)  # (n, n_groups)
+    # per-group LLRs from the distributions' cached factors: (n, n_groups)
+    stacked = match.group_logpdf(X) - unmatch.group_logpdf(X)
 
     explanations = []
     for i in range(X.shape[0]):

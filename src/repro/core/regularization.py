@@ -33,8 +33,8 @@ def penalty_diagonal(
     return config.kappa * gap * gap
 
 
-def apply_regularization(block_cov: np.ndarray, penalty: np.ndarray, idx: list[int]) -> np.ndarray:
-    """``Σ = S + K`` restricted to one feature group (Equation 13)."""
-    out = np.array(block_cov, dtype=np.float64, copy=True)
-    out[np.diag_indices_from(out)] += penalty[idx]
+def apply_regularization(cov: np.ndarray, penalty: np.ndarray) -> np.ndarray:
+    """``Σ = S + K`` (Equation 13) for a covariance over the features of ``penalty``."""
+    out = np.array(cov, dtype=np.float64, copy=True)
+    out[np.diag_indices_from(out)] += penalty
     return out

@@ -46,7 +46,10 @@ EMPTY_CANDIDATE_SET = "empty_candidate_set"
 #: carries no signal.
 ALL_NAN_FEATURE_COLUMN = "all_nan_feature_column"
 #: A covariance block failed plain Cholesky and was factorized with
-#: diagonal jitter (rank-deficient features).
+#: diagonal jitter (rank-deficient features). Blocks are factorized once
+#: when a distribution is built, so the flag's ``count`` is the number of
+#: jittered block factorizations: once per singular block per M-step (and
+#: per model load), not once per E-step, ``predict_proba`` or explain call.
 SINGULAR_COVARIANCE_FALLBACK = "singular_covariance_fallback"
 #: EM hit ``max_iter`` without likelihood convergence; the tail-averaged
 #: posterior is returned (paper §6).
@@ -98,7 +101,7 @@ class HealthReport:
 
     Re-recording a condition bumps its flag's ``count`` (and upgrades the
     severity if the new occurrence is worse) instead of appending — a fit
-    whose covariance needed jitter on 180 of 200 iterations yields one
+    whose covariance needed jitter in 180 of its 200 M-steps yields one
     flag with ``count=180``, not 180 flags.
     """
 

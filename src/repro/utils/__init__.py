@@ -1,6 +1,6 @@
 """Shared utilities: input validation, RNG handling, numerical linear algebra."""
 
-from repro.utils.linalg import correlation_from_covariance, gaussian_logpdf, robust_cholesky
+from repro.utils.linalg import correlation_from_covariance, robust_cholesky
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     check_feature_groups,
@@ -16,6 +16,5 @@ __all__ = [
     "check_posterior",
     "check_probability",
     "robust_cholesky",
-    "gaussian_logpdf",
     "correlation_from_covariance",
 ]

@@ -9,11 +9,10 @@ block degrades gracefully instead of raising ``LinAlgError`` mid-iteration.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from repro.reliability.health import SINGULAR_COVARIANCE_FALLBACK, record_condition
 
-__all__ = ["robust_cholesky", "gaussian_logpdf", "correlation_from_covariance"]
+__all__ = ["robust_cholesky", "correlation_from_covariance"]
 
 #: Jitter ladder tried, in order, when a Cholesky factorization fails.
 _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
@@ -38,8 +37,8 @@ def robust_cholesky(cov: np.ndarray) -> np.ndarray:
     eye = np.eye(cov.shape[0])
     for jitter in _JITTER_LADDER:
         try:
-            factor = scipy.linalg.cholesky(cov + jitter * scale * eye, lower=True)
-        except scipy.linalg.LinAlgError:
+            factor = np.linalg.cholesky(cov + jitter * scale * eye)
+        except np.linalg.LinAlgError:
             continue
         if jitter > 0.0:
             # Plain Cholesky failed: the block is singular (rank-deficient
@@ -53,36 +52,6 @@ def robust_cholesky(cov: np.ndarray) -> np.ndarray:
             )
         return factor
     raise np.linalg.LinAlgError("covariance matrix could not be factorized even with jitter")
-
-
-def gaussian_logpdf(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density of rows of ``X`` under ``N(mean, cov)``.
-
-    Parameters
-    ----------
-    X:
-        Array of shape ``(n, d)``.
-    mean:
-        Mean vector of length ``d``.
-    cov:
-        Covariance matrix of shape ``(d, d)``; near-singular inputs are
-        handled by :func:`robust_cholesky`.
-
-    Returns
-    -------
-    numpy.ndarray
-        Vector of ``n`` log-density values.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    mean = np.asarray(mean, dtype=np.float64)
-    d = mean.shape[0]
-    chol = robust_cholesky(cov)
-    diff = X - mean
-    # Solve L z = diff^T so that z^T z = diff Sigma^{-1} diff^T (Mahalanobis).
-    z = scipy.linalg.solve_triangular(chol, diff.T, lower=True)
-    maha = np.sum(z * z, axis=0)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (d * np.log(2.0 * np.pi) + log_det + maha)
 
 
 def correlation_from_covariance(cov: np.ndarray) -> np.ndarray:

@@ -38,6 +38,24 @@ def hard_fault_injector():
 
 
 @pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Records every ``robust_cholesky`` factorization made during the test."""
+    import repro.core.gaussian
+    import repro.utils.linalg
+
+    calls = []
+    real = repro.utils.linalg.robust_cholesky
+
+    def counting(cov):
+        calls.append(np.shape(cov))
+        return real(cov)
+
+    for module in (repro.utils.linalg, repro.core.gaussian):
+        monkeypatch.setattr(module, "robust_cholesky", counting)
+    return calls
+
+
+@pytest.fixture
 def separable_mixture(rng):
     """A tiny imbalanced two-class similarity-vector problem.
 

@@ -42,6 +42,20 @@ class TestArtifactRoundTrip:
             pipeline.model_.predict_proba(X_orig), model.predict_proba(X_new)
         )
 
+    def test_loaded_model_scores_without_refactorizing(
+        self, dataset, linkage_fit, tmp_path, cholesky_calls
+    ):
+        """Loading factorizes the covariance blocks once; scoring reuses them."""
+        pipeline, result = linkage_fit
+        save_artifacts(tmp_path / "art", pipeline.generator_, pipeline.model_)
+        generator, model, _ = load_artifacts(tmp_path / "art")
+        X = generator.transform(dataset.left, dataset.right, result.pairs)
+        loaded = len(cholesky_calls)
+        for _ in range(3):
+            model.predict_proba(X)
+            model.predict_proba(X[:1])
+        assert loaded > 0 and len(cholesky_calls) == loaded
+
     def test_zeroer_with_type_overrides_bit_identical(self, dataset, tmp_path):
         """Dedup model + pinned attribute types survive the round trip."""
         merged, _ = dataset.as_dedup()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.covariance import (
-    pooled_correlation_blocks,
+    pooled_correlation,
     rescale_to_correlation,
     weighted_covariance,
     weighted_mean,
@@ -55,26 +55,22 @@ class TestWeightedCovariance:
 class TestPooledCorrelation:
     def test_blocks_match_numpy_corrcoef(self, rng):
         X = rng.random((200, 4))
-        blocks = pooled_correlation_blocks(X, [[0, 1], [2, 3]])
-        expected01 = np.corrcoef(X[:, 0], X[:, 1])[0, 1]
-        assert blocks[0][0, 1] == pytest.approx(expected01, abs=1e-10)
+        assert np.allclose(pooled_correlation(X), np.corrcoef(X, rowvar=False), atol=1e-10)
 
     def test_unit_diagonals(self, rng):
         X = rng.random((50, 3))
-        for block in pooled_correlation_blocks(X, [[0], [1, 2]]):
-            assert np.allclose(np.diag(block), 1.0)
+        assert np.allclose(np.diag(pooled_correlation(X)), 1.0)
 
     def test_constant_feature_zero_correlation(self):
         X = np.column_stack([np.ones(20), np.linspace(0, 1, 20)])
-        block = pooled_correlation_blocks(X, [[0, 1]])[0]
-        assert block[0, 1] == 0.0
+        assert pooled_correlation(X)[0, 1] == 0.0
 
     def test_correlated_copies_detected(self, grouped_mixture):
         X, _y, groups = grouped_mixture
-        blocks = pooled_correlation_blocks(X, groups)
+        R = pooled_correlation(X)
         # within-group features are near-copies -> correlation close to 1
-        assert blocks[0][0, 1] > 0.9
-        assert blocks[1][0, 1] > 0.9
+        assert R[groups[0][0], groups[0][1]] > 0.9
+        assert R[groups[1][0], groups[1][1]] > 0.9
 
 
 class TestRescaleToCorrelation:
@@ -107,11 +103,11 @@ class TestRescaleToCorrelation:
     def test_parameter_sharing_effect(self, grouped_mixture):
         # S_M rebuilt with pooled R keeps M's scale but borrows structure
         X, y, groups = grouped_mixture
-        pooled = pooled_correlation_blocks(X, groups)
+        R = pooled_correlation(X)
         w = y  # hard match weights
         sub = X[:, groups[0]]
         mean = weighted_mean(sub, w)
         S_m = weighted_covariance(sub, w, mean)
-        rebuilt = rescale_to_correlation(S_m, pooled[0])
+        rebuilt = rescale_to_correlation(S_m, R[np.ix_(groups[0], groups[0])])
         assert np.allclose(np.diag(rebuilt), np.diag(S_m))
         assert rebuilt[0, 1] != pytest.approx(S_m[0, 1], rel=1e-6)

@@ -43,19 +43,19 @@ class TestPenaltyDiagonal:
 class TestApplyRegularization:
     def test_adds_to_diagonal_only(self):
         S = np.array([[0.1, 0.05], [0.05, 0.2]])
-        penalty = np.array([1.0, 2.0, 3.0])
-        out = apply_regularization(S, penalty, [1, 2])
+        penalty = np.array([2.0, 3.0])
+        out = apply_regularization(S, penalty)
         assert out[0, 0] == pytest.approx(0.1 + 2.0)
         assert out[1, 1] == pytest.approx(0.2 + 3.0)
         assert out[0, 1] == pytest.approx(0.05)
 
     def test_does_not_mutate_input(self):
         S = np.eye(2)
-        apply_regularization(S, np.ones(2), [0, 1])
+        apply_regularization(S, np.ones(2))
         assert np.allclose(S, np.eye(2))
 
     def test_fixes_singularity(self):
         # zero-variance feature (the paper's f1 example) becomes invertible
         S = np.array([[0.0]])
-        out = apply_regularization(S, np.array([0.25]), [0])
+        out = apply_regularization(S, np.array([0.25]))
         assert np.linalg.det(out) > 0.0

@@ -28,6 +28,22 @@ class TestExplain:
         rebuilt = np.array([e.posterior for e in explanations])
         assert np.allclose(rebuilt, proba, atol=1e-10)
 
+    def test_prior_plus_contributions_reproduce_predict_proba(self, fitted, cholesky_calls):
+        # on a frozen copy, and from the fitted distributions' cached factors
+        model, X, _, _ = fitted
+        frozen = ZeroER.from_fitted_state(model.get_fitted_state())
+        loaded = len(cholesky_calls)
+        explanations = frozen.explain(X)
+        log_odds = np.array(
+            [
+                e.prior_log_odds + sum(c.log_likelihood_ratio for c in e.contributions)
+                for e in explanations
+            ]
+        )
+        rebuilt = 1.0 / (1.0 + np.exp(-log_odds))
+        assert len(cholesky_calls) == loaded
+        np.testing.assert_allclose(rebuilt, model.predict_proba(X), rtol=0, atol=1e-10)
+
     def test_log_odds_is_sum_of_parts(self, fitted):
         model, X, _, _ = fitted
         for e in model.explain(X[:5]):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from repro.utils.linalg import (
-    correlation_from_covariance,
-    gaussian_logpdf,
-    robust_cholesky,
-)
+from repro.core.gaussian import BlockDiagonalGaussian
+from repro.utils.linalg import correlation_from_covariance, robust_cholesky
+
+
+def gaussian_logpdf(X, mean, cov):
+    """Log density under a single-block Gaussian (factorized via robust_cholesky)."""
+    return BlockDiagonalGaussian(mean, [list(range(len(mean)))], [cov]).logpdf(X)
 
 
 class TestRobustCholesky:
@@ -44,6 +46,14 @@ class TestRobustCholesky:
 
 
 class TestGaussianLogpdf:
+    def test_whitening_inverts_the_covariance(self, rng):
+        A = rng.normal(size=(4, 4))
+        cov = A @ A.T + np.eye(4)
+        g = BlockDiagonalGaussian(np.zeros(4), [[0, 1, 2, 3]], [cov])
+        assert np.allclose(g.whitening @ g.whitening.T, np.linalg.inv(cov))
+        log_det = np.linalg.slogdet(cov)[1]
+        assert g.group_log_norms[0] == pytest.approx(-0.5 * (4 * np.log(2 * np.pi) + log_det))
+
     def test_matches_scipy_1d(self):
         X = np.array([[0.0], [1.0], [-2.0]])
         ours = gaussian_logpdf(X, np.array([0.5]), np.array([[2.0]]))
