@@ -10,8 +10,8 @@ printed table and a machine-readable ``BENCH_featurization.json``.
 Workloads: the full pub_da blocking at paper scale (~120k pairs, the
 ISSUE's ≥50k-pair bar) and a mixed-schema rest_fz workload with sampled
 pairs that exercises the edit-distance kernels. The bench asserts the
-acceptance bar: ≥5x throughput on token-based features, and an overall
-batch win, on the large workload.
+acceptance bar: ≥5x throughput on token-based features, a Monge–Elkan
+(``hybrid``) floor, and an overall batch win, on the large workload.
 
 Set ``REPRO_BENCH_SMOKE=1`` for a seconds-long CI smoke run (tiny scale,
 no JSON, no speedup assertions — it only proves the bench still runs).
@@ -42,6 +42,11 @@ SEED = 11
 #: Acceptance bar (ISSUE 2): token-feature throughput on the ≥50k-pair
 #: workload must beat the per-pair reference by at least this factor.
 TOKEN_SPEEDUP_FLOOR = 5.0
+
+#: Monge–Elkan (``hybrid`` family) speedup floor on the same workload. On a
+#: 2-core VM the dense token-pair table measured 20.4× and the sort/searchsorted
+#: lookup it replaced 6.9×; the floor sits between them with a 2× margin.
+HYBRID_SPEEDUP_FLOOR = 10.0
 
 
 def _workload_pairs(name: str, scale: str, extra_random: int):
@@ -172,4 +177,8 @@ def test_batch_vs_per_pair_featurization(benchmark, capfd):
     assert token["speedup"] >= TOKEN_SPEEDUP_FLOOR, (
         f"token-feature speedup {token['speedup']}x below the "
         f"{TOKEN_SPEEDUP_FLOOR}x acceptance bar"
+    )
+    hybrid = primary["families"]["hybrid"]
+    assert hybrid["speedup"] >= HYBRID_SPEEDUP_FLOOR, (
+        f"Monge–Elkan speedup {hybrid['speedup']}x below the {HYBRID_SPEEDUP_FLOOR}x floor"
     )

@@ -32,10 +32,10 @@ Kernel families:
   by ``(len(a), len(b))`` so the dynamic programs run vectorized across all
   string pairs of a bucket (strings become contiguous uint32 code matrices
   via the same utf-32 encoding the scalar kernels use).
-* **Monge–Elkan** — token pairs are deduplicated across the whole batch
-  and scored once with the batch Jaro–Winkler kernel; the per-pair
-  best-match/mean aggregation runs as dense ``(k, |A|, |B|)`` reductions
-  per length bucket.
+* **Monge–Elkan** — the token pairs the batch needs are scored once with
+  the batch Jaro–Winkler kernel into a dense per-side-vocab ``Va × Vb``
+  table; candidate pairs gather their cells from it and aggregate them
+  (best match, then mean) as dense ``(k, |A|, |B|)`` reductions per bucket.
 
 Every kernel reproduces the scalar functions' conventions exactly:
 ``None`` → NaN, both-empty → 1.0, one-empty → 0.0. The set/edit measures
@@ -88,9 +88,9 @@ _DENSE_BITS_CAP = 1024
 #: per-pair path rather than allocating unbounded intermediates.
 _MONGE_ELKAN_CELL_BUDGET = 60_000_000
 
-#: Rows of a Monge–Elkan bucket are processed in chunks of at most this
-#: many (pair, token_a, token_b) cells, capping the transient int64/float64
-#: intermediates at ~50 MB regardless of batch size.
+#: Cap, in cells, on each of Monge–Elkan's arrays (~16 MB as float64): the
+#: (pair, token_a, token_b) keys and sims of one bucket chunk, and the dense
+#: token-pair table, which is built in slices of a-vocab rows if it exceeds it.
 _MONGE_ELKAN_CHUNK_CELLS = 2_000_000
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
@@ -779,16 +779,15 @@ def batch_monge_elkan_jw_indexed(
     """Batch symmetric Monge–Elkan with Jaro–Winkler inner similarity.
 
     Matches ``monge_elkan(a, b, inner=jaro_winkler, symmetric=True)`` to
-    float rounding. The inner similarity is evaluated once per *distinct*
-    token pair (via the batch Jaro–Winkler kernel); per-candidate-pair
-    aggregation runs as dense ``(k, |A|, |B|)`` max/mean reductions, with
-    pairs bucketed by token-count shape. Returns ``None`` (caller should
-    fall back) if the expansion exceeds the cell budget.
+    float rounding. Each side's tokens get a local vocab; the token pairs the
+    batch needs are marked in a dense ``Va × Vb`` table, scored once by the
+    batch Jaro–Winkler kernel, and gathered back for ``(k, |A|, |B|)`` max/mean
+    reductions over pairs bucketed by token-count shape. Returns ``None``
+    (caller should fall back) if the expansion exceeds the cell budget.
     """
-    n = len(ua)
-    vocab: dict = {}
 
     def encode(records):
+        vocab: dict = {}
         indptr = np.zeros(len(records) + 1, dtype=np.int64)
         rows: list[np.ndarray] = []
         for u, tokens in enumerate(records):
@@ -804,12 +803,10 @@ def batch_monge_elkan_jw_indexed(
             rows.append(ids)  # token order preserved — aggregation order matters
             indptr[u + 1] = indptr[u] + len(ids)
         tok = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        return indptr, tok
+        return indptr, tok, list(vocab)
 
-    enc_a = encode(records_a)
-    enc_b = enc_a if records_b is records_a else encode(records_b)
-    indptr_a, tok_a = enc_a
-    indptr_b, tok_b = enc_b
+    indptr_a, tok_a, vocab_a = enc_a = encode(records_a)
+    indptr_b, tok_b, vocab_b = enc_a if records_b is records_a else encode(records_b)
 
     la = np.diff(indptr_a)[ua]
     lb = np.diff(indptr_b)[ub]
@@ -818,50 +815,53 @@ def batch_monge_elkan_jw_indexed(
     if int((la[valid] * lb[valid]).sum()) > _MONGE_ELKAN_CELL_BUDGET:
         return None
 
-    out = np.zeros(n, dtype=np.float64)
+    out = np.zeros(len(ua), dtype=np.float64)
     out[(la == 0) & (lb == 0) & ~missing] = 1.0
     out[missing] = _NAN
 
-    vocab_size = max(len(vocab), 1)
     valid_idx = np.flatnonzero(valid)
     if not len(valid_idx):
         return out
 
     # Bucket valid pairs by (|A|, |B|) so each bucket is a dense
-    # (k, |A|, |B|) block, processed in row chunks to bound the transient
-    # key/sim intermediates. First pass collects every token-id pair needed.
-    buckets = _length_buckets(la[valid_idx], lb[valid_idx])
-    bucket_members = []
-    for (ka, kb), members in buckets.items():
+    # (k, |A|, |B|) block, processed in row chunks.
+    buckets = []
+    for (ka, kb), members in _length_buckets(la[valid_idx], lb[valid_idx]).items():
         rows = valid_idx[members]
-        bucket_members.append(((ka, kb), rows, indptr_a[ua[rows]], indptr_b[ub[rows]]))
+        buckets.append((ka, kb, rows, indptr_a[ua[rows]], indptr_b[ub[rows]]))
+    width = len(vocab_b)
 
-    def chunked_keys(ka, kb, starts_a, starts_b):
-        # token-id matrices are re-gathered per chunk (never retained), so
-        # the transient (chunk, ka, kb) intermediates stay within the cap
-        chunk = max(1, _MONGE_ELKAN_CHUNK_CELLS // (ka * kb))
-        for s in range(0, len(starts_a), chunk):
-            A = tok_a[starts_a[s : s + chunk, None] + np.arange(ka, dtype=np.int64)]
-            B = tok_b[starts_b[s : s + chunk, None] + np.arange(kb, dtype=np.int64)]
-            yield s, s + chunk, A[:, :, None] * vocab_size + B[:, None, :]
+    def chunked_keys(lo, hi):
+        # keys are re-gathered per chunk (never retained) to stay within the
+        # cap; a-tokens outside vocab rows lo..hi read the trailing zero row
+        for b, (ka, kb, rows, starts_a, starts_b) in enumerate(buckets):
+            chunk = max(1, _MONGE_ELKAN_CHUNK_CELLS // (ka * kb))
+            for s in range(0, len(rows), chunk):
+                A = tok_a[starts_a[s : s + chunk, None] + np.arange(ka, dtype=np.int64)] - lo
+                A[(A < 0) | (A >= hi - lo)] = hi - lo
+                B = tok_b[starts_b[s : s + chunk, None] + np.arange(kb, dtype=np.int64)]
+                yield (b, s), rows[s : s + chunk], (A * width)[:, :, None] + B[:, None, :]
 
-    bucket_keys = [
-        np.unique(keys)
-        for (ka, kb), _rows, starts_a, starts_b in bucket_members
-        for _s, _e, keys in chunked_keys(ka, kb, starts_a, starts_b)
-    ]
-    unique_keys = np.unique(np.concatenate(bucket_keys))
-    tokens = list(vocab)
-    inner_a = unique_keys // vocab_size
-    inner_b = unique_keys % vocab_size
-    jw_table = batch_jaro_winkler_indexed(tokens, inner_a, tokens, inner_b)
-
-    for (ka, kb), rows, starts_a, starts_b in bucket_members:
-        for s, e, keys in chunked_keys(ka, kb, starts_a, starts_b):
-            sims = jw_table[np.searchsorted(unique_keys, keys)]
-            forward = sims.max(axis=2).mean(axis=1)
-            backward = sims.max(axis=1).mean(axis=1)
-            out[rows[s:e]] = 0.5 * (forward + backward)
+    # a slice of table rows plus the zero row fits the cap (usually one slice)
+    height = max(1, _MONGE_ELKAN_CHUNK_CELLS // width - 1)
+    partial: dict = {}  # per-chunk maxima carried across slices
+    for lo in range(0, len(vocab_a), height):
+        hi = min(lo + height, len(vocab_a))
+        table = np.zeros((hi - lo + 1) * width, dtype=np.float64)
+        needed = np.zeros(len(table), dtype=bool)
+        for _key, _rows, keys in chunked_keys(lo, hi):
+            needed[keys] = True
+        ids = np.flatnonzero(needed[: (hi - lo) * width])  # distinct, sorted
+        table[ids] = batch_jaro_winkler_indexed(vocab_a, ids // width + lo, vocab_b, ids % width)
+        for key, rows, keys in chunked_keys(lo, hi):
+            sims = table[keys]
+            forward, backward = sims.max(axis=2), sims.max(axis=1)
+            for new, old in zip((forward, backward), partial.pop(key, ())):
+                np.maximum(new, old, out=new)  # JW >= 0, so the zero row never wins
+            if hi < len(vocab_a):
+                partial[key] = forward, backward
+            else:
+                out[rows] = 0.5 * (forward.mean(axis=1) + backward.mean(axis=1))
     return out
 
 

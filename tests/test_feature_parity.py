@@ -126,6 +126,31 @@ class TestEdgeCases:
         pairs = [(l, r) for l in ("l1", "l2", "l3") for r in ("r1", "r2", "r3")]
         _assert_parity(gen, left, right, pairs)
 
+    def test_monge_elkan_over_cell_budget_falls_back_per_pair(self, monkeypatch):
+        from repro.features import generator as generator_mod
+        from repro.text import batch
+
+        ds = load_benchmark("pub_da", scale="tiny", seed=5)
+        pairs = blocker_for("pub_da").block(ds.left, ds.right)[:300]
+        gen = FeatureGenerator().fit(ds.left, ds.right, ds.attributes)
+        monkeypatch.setattr(batch, "_MONGE_ELKAN_CELL_BUDGET", 10)
+        bags = [("golden", "dragon"), ("blue", "lotus", "inn")]
+        assert batch.batch_monge_elkan_jw(bags, bags[::-1]) is None
+
+        returned = []
+        kernel = generator_mod.batch_monge_elkan_jw_indexed
+
+        def spy(*args):
+            returned.append(kernel(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(generator_mod, "batch_monge_elkan_jw_indexed", spy)
+        X = _assert_parity(gen, ds.left, ds.right, pairs)
+        me_cols = [j for j, name in enumerate(gen.feature_names_) if name.endswith("_me_jw")]
+        assert len(returned) == len(me_cols) == 3
+        assert all(col is None for col in returned)
+        assert np.isfinite(X[:, me_cols]).any()
+
     def test_empty_pair_list(self):
         left = Table([{"id": "l1", "name": "x"}])
         gen = FeatureGenerator().fit(left)
