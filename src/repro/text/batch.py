@@ -28,10 +28,15 @@ Kernel families:
   normed once at the record level; pair dot products come from one
   sorted-key merge.
 * **Edit measures** — Levenshtein and Jaro–Winkler deduplicate value
-  combinations, short-circuit equal/empty cases, and bucket the remainder
-  by ``(len(a), len(b))`` so the dynamic programs run vectorized across all
-  string pairs of a bucket (strings become contiguous uint32 code matrices
-  via the same utf-32 encoding the scalar kernels use).
+  combinations and short-circuit empty (and, for Levenshtein, equal)
+  cases. Levenshtein buckets the remainder by ``(len(a), len(b))`` so its
+  dynamic program runs vectorized across all string pairs of a bucket
+  (strings become contiguous uint32 code matrices via the same utf-32
+  encoding the scalar kernels use). Jaro–Winkler encodes each side's
+  distinct values once into a code store and classes the remainder by
+  ``max(len(a), len(b))``, which fixes the match window: each class gathers
+  padded code matrices from both stores and runs one vectorized pass, with
+  the two sides' pads chosen so padding never matches.
 * **Monge–Elkan** — the token pairs the batch needs are scored once with
   the batch Jaro–Winkler kernel into a dense per-side-vocab ``Va × Vb``
   table; candidate pairs gather their cells from it and aggregate them
@@ -74,9 +79,10 @@ __all__ = [
 
 _NAN = float("nan")
 
-#: Value-combination buckets smaller than this fall back to the scalar edit
-#: kernels: the vectorized DP's per-bucket setup costs more than a handful
-#: of scalar calls.
+#: Value-combination buckets (Levenshtein, by length pair) and classes
+#: (Jaro–Winkler, by max length) smaller than this fall back to the scalar
+#: edit kernels: the vectorized pass's setup costs more than a handful of
+#: scalar calls.
 _MIN_VECTOR_BUCKET = 4
 
 #: Cap on dense bitmask width (bits per record) for token intersections.
@@ -540,6 +546,19 @@ class _StringValues:
             ids[i] = u
         self.ids = ids
         self.lengths = np.fromiter(map(len, self.values), dtype=np.int64, count=len(self.values))
+        # CSR code store: every distinct value's code points, end to end (a
+        # lone surrogate keeps its own code, as ``ord`` gives it)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.codes = np.frombuffer(
+            "".join(self.values).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+        )
+
+    def gather(self, ids: np.ndarray, width: int, pad: int) -> np.ndarray:
+        """(len(ids), width) code matrix of values ``ids`` (each ≤ width long,
+        at least one code stored), right-padded with ``pad``."""
+        cols = np.arange(width, dtype=np.int64)
+        pos = np.minimum(self.starts[ids, None] + cols, len(self.codes) - 1)
+        return np.where(cols < self.lengths[ids, None], self.codes[pos], np.uint32(pad))
 
 
 def _unique_combos(
@@ -670,45 +689,53 @@ def batch_jaro_winkler_indexed(
 ) -> np.ndarray:
     """Batch Jaro–Winkler over record-indexed pairs.
 
-    Same dedup/short-circuit/bucket scheme as the Levenshtein kernel; the
-    greedy match loop runs one character position at a time across the
-    whole bucket, with the transposition count recovered from the match
-    masks in one pass. Bit-identical to the scalar kernel.
+    Distinct value combinations with both strings non-empty are classed by
+    ``L = max(len(a), len(b))``, which fixes the match window ``L // 2 - 1``
+    for the whole class. Each class gathers ``(k, L)`` code matrices from
+    the two sides' code stores (each side's distinct values encoded once),
+    padding side a and side b with two different non-code-point sentinels.
+    A sentinel never equals anything on the other side, so equal strings,
+    the greedy match loop (one position of a at a time, over a's longest
+    row), the transposition pass and the prefix boost all run unmasked.
+    Classes smaller than ``_MIN_VECTOR_BUCKET`` use the scalar kernel.
+    Bit-identical to :func:`repro.text.similarity.jaro_winkler`.
     """
     vals_a = _StringValues(records_a)
     vals_b = vals_a if records_b is records_a else _StringValues(records_b)
     cva, cvb, inverse, missing = _unique_combos(vals_a, ua, vals_b, ub)
-    m = len(cva)
-    sims = np.empty(m, dtype=np.float64)
-    if m:
-        strs_a = [vals_a.values[i] for i in cva]
-        strs_b = [vals_b.values[i] for i in cvb]
-        la = vals_a.lengths[cva]
-        lb = vals_b.lengths[cvb]
-        equal = np.fromiter(
-            (x == y for x, y in zip(strs_a, strs_b)), dtype=bool, count=m
-        )
-        sims[equal] = 1.0
-        sims[~equal & ((la == 0) | (lb == 0))] = 0.0
-        todo = ~equal & (la > 0) & (lb > 0)
-        for (length_a, length_b), members in _length_buckets(la[todo], lb[todo]).items():
-            members = np.flatnonzero(todo)[members]
-            if len(members) < _MIN_VECTOR_BUCKET:
-                for u in members:
-                    sims[u] = jaro_winkler(
-                        strs_a[u], strs_b[u], prefix_weight=prefix_weight, max_prefix=max_prefix
-                    )
-                continue
-            A = _codes([strs_a[u] for u in members], length_a)
-            B = _codes([strs_b[u] for u in members], length_b)
-            base = _bucket_jaro(A, B)
-            pmax = min(max_prefix, length_a, length_b)
-            if pmax > 0:
-                lead = np.cumprod(A[:, :pmax] == B[:, :pmax], axis=1)
-                prefix = lead.sum(axis=1).astype(np.float64)
-            else:
-                prefix = np.zeros(len(members), dtype=np.float64)
-            sims[members] = base + prefix * prefix_weight * (1.0 - base)
+    la = vals_a.lengths[cva]
+    lb = vals_b.lengths[cvb]
+    sims = np.zeros(len(cva), dtype=np.float64)  # one side empty → 0
+    sims[(la == 0) & (lb == 0)] = 1.0
+    todo = np.flatnonzero((la > 0) & (lb > 0))
+    pad_a, pad_b = 0xFFFFFFFF, 0xFFFFFFFE  # not code points, and never equal
+    widths = np.maximum(la, lb)[todo]
+    order = np.argsort(widths, kind="stable")
+    classes, starts = np.unique(widths[order], return_index=True)
+    for width, members in zip(classes.tolist(), np.split(todo[order], starts[1:])):
+        if len(members) < _MIN_VECTOR_BUCKET:
+            for u in members:
+                sims[u] = jaro_winkler(
+                    vals_a.values[cva[u]],
+                    vals_b.values[cvb[u]],
+                    prefix_weight=prefix_weight,
+                    max_prefix=max_prefix,
+                )
+            continue
+        A = vals_a.gather(cva[members], width, pad_a)
+        B = vals_b.gather(cvb[members], width, pad_b)
+        equal = (A == B).all(axis=1)
+        sims[members[equal]] = 1.0
+        rest = ~equal
+        members, A, B = members[rest], A[rest], B[rest]
+        base = _class_jaro(A, B, la[members], lb[members], pad_b)
+        pmax = min(max_prefix, width)
+        if pmax > 0:
+            lead = np.cumprod(A[:, :pmax] == B[:, :pmax], axis=1)
+            prefix = lead.sum(axis=1).astype(np.float64)
+        else:
+            prefix = np.zeros(len(members), dtype=np.float64)
+        sims[members] = base + prefix * prefix_weight * (1.0 - base)
     return _scatter_combos(sims, inverse, missing)
 
 
@@ -728,41 +755,41 @@ def batch_jaro_winkler(
     )
 
 
-def _bucket_jaro(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Jaro similarities for a (k, la) × (k, lb) bucket (no empty strings)."""
-    k, la = A.shape
-    lb = B.shape[1]
-    window = max(la, lb) // 2 - 1
-    if window < 0:
-        window = 0
-    matched_a = np.zeros((k, la), dtype=bool)
-    matched_b = np.zeros((k, lb), dtype=bool)
-    for i in range(la):
+def _class_jaro(
+    A: np.ndarray, B: np.ndarray, la: np.ndarray, lb: np.ndarray, pad_b: int
+) -> np.ndarray:
+    """Jaro similarities for one max-length class of padded (k, L) code rows.
+
+    ``la``/``lb`` are the rows' true lengths (all > 0); ``pad_b``
+    is side b's pad, which equals no code of side a. A matched position of
+    b is overwritten with it, so the greedy search needs no match mask.
+    """
+    k, width = A.shape
+    window = max(width // 2 - 1, 0)
+    free_b = B.copy()
+    matched_a = np.zeros((k, width), dtype=bool)
+    all_rows = np.arange(k)
+    for i in range(int(la.max()) if k else 0):
         lo = max(0, i - window)
-        hi = min(lb, i + window + 1)
-        if lo >= hi:
-            continue
+        hi = min(width, i + window + 1)
         # the scalar kernel's greedy rule: first not-yet-matched position of
         # b inside the window whose character equals a[i]
-        cand = (B[:, lo:hi] == A[:, i : i + 1]) & ~matched_b[:, lo:hi]
-        hit = cand.any(axis=1)
-        if not hit.any():
-            continue
-        first = cand.argmax(axis=1) + lo
-        rows = np.flatnonzero(hit)
-        matched_b[rows, first[rows]] = True
+        cand = free_b[:, lo:hi] == A[:, i : i + 1]
+        first = cand.argmax(axis=1)
+        rows = np.flatnonzero(cand[all_rows, first])
+        free_b[rows, first[rows] + lo] = pad_b
         matched_a[rows, i] = True
     m = matched_a.sum(axis=1).astype(np.float64)
     # transpositions: matched characters of each side, in order, compared
     # elementwise (per pair both sides have the same match count)
     ra, ca = np.nonzero(matched_a)
-    rb, cb = np.nonzero(matched_b)
+    rb, cb = np.nonzero(free_b != B)
     mismatch = (A[ra, ca] != B[rb, cb]).astype(np.float64)
     trans = np.floor(np.bincount(ra, weights=mismatch, minlength=k) / 2.0)
     out = np.zeros(k, dtype=np.float64)
     nz = m > 0
     mm, tt = m[nz], trans[nz]
-    out[nz] = (mm / la + mm / lb + (mm - tt) / mm) / 3.0
+    out[nz] = (mm / la[nz] + mm / lb[nz] + (mm - tt) / mm) / 3.0
     return out
 
 

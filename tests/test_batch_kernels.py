@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.text import batch
 from repro.text.batch import (
     batch_jaro_winkler,
     batch_levenshtein_similarity,
@@ -200,6 +201,25 @@ def _random_strings(rng, n, alphabet="abcdef ", lengths=(0, 1, 3, 5, 8)):
     return out
 
 
+def _spy_vector_kernels(monkeypatch):
+    """Record the vectorized edit kernels' calls: Levenshtein bucket shapes
+    ``(len_long, len_short)`` and Jaro–Winkler class widths."""
+    shapes = {"levenshtein": [], "jaro": []}
+    real_lev, real_jaro = batch._bucket_levenshtein, batch._class_jaro
+
+    def lev_spy(A, B):
+        shapes["levenshtein"].append((A.shape[1], B.shape[1]))
+        return real_lev(A, B)
+
+    def jaro_spy(A, *args):
+        shapes["jaro"].append(A.shape[1])
+        return real_jaro(A, *args)
+
+    monkeypatch.setattr(batch, "_bucket_levenshtein", lev_spy)
+    monkeypatch.setattr(batch, "_class_jaro", jaro_spy)
+    return shapes
+
+
 class TestBatchEdit:
     @pytest.mark.parametrize(
         "batch_fn,scalar_fn",
@@ -228,13 +248,20 @@ class TestBatchEdit:
         b = ["abcdz", "xyzw", "ab", "a", "x", "nonempty"]
         _assert_matches_scalar(batch_fn(a, b), scalar_fn, a, b)
 
-    def test_non_bmp_unicode(self):
+    def test_non_bmp_unicode(self, monkeypatch):
         # astral-plane characters exercise the utf-32 encoding path: one
-        # code unit per character, matching python-level len()
+        # code unit per character, matching python-level len(). Each length
+        # gets at least _MIN_VECTOR_BUCKET distinct pairs, so the vectorized
+        # kernels (not the scalar fallback) score them.
         a = ["𝕏ray", "𝕏ray", "na\U0001F600me", "𝄞𝄞𝄞𝄞"] * 2
         b = ["𝕏ray", "xray", "na\U0001F601me", "𝄞𝄞x𝄞"] * 2
+        a += ["𝕏raz", "ray𝕏", "𝄞ab𝄞", "\U0001F600name", "name\U0001F600", "𝕏𝕐abc"]
+        b += ["𝕏ray", "rax𝕏", "𝄞ba𝄞", "\U0001F601name", "nam\U0001F600e", "𝕐𝕏abc"]
+        shapes = _spy_vector_kernels(monkeypatch)
         _assert_matches_scalar(batch_levenshtein_similarity(a, b), levenshtein_similarity, a, b)
         _assert_matches_scalar(batch_jaro_winkler(a, b), jaro_winkler, a, b)
+        assert {(4, 4), (5, 5)} <= set(shapes["levenshtein"])
+        assert {4, 5} <= set(shapes["jaro"])
 
     def test_equal_and_empty_short_circuits(self):
         a = ["same", "", "", None]
@@ -251,12 +278,23 @@ class TestBatchEdit:
         assert np.allclose(col[:50], levenshtein_similarity("kitten", "sitting"))
         assert col[50] == levenshtein_similarity("flour", "flower")
 
-    def test_transpositions_in_vectorized_jaro(self):
-        # classic transposition-heavy cases, repeated to exceed the scalar
-        # fallback threshold so the vectorized path is exercised
+    def test_transpositions_in_vectorized_jaro(self, monkeypatch):
+        # classic transposition-heavy cases. Repeats of one pair collapse to
+        # a single combination (scored by the scalar fallback), so each pair
+        # is also batched with distinct reorderings of the same width, which
+        # fill its class past the fallback threshold
         pairs = [("martha", "marhta"), ("dwayne", "duane"), ("dixon", "dicksonx")]
+        shapes = _spy_vector_kernels(monkeypatch)
         for x, y in pairs:
             a, b = [x] * 6, [y] * 6
             got = batch_jaro_winkler(a, b)
             assert np.allclose(got, jaro_winkler(x, y))
             assert got[0] == jaro_winkler(x, y)
+            a = [x, y, x[::-1], x, y]
+            b = [y, x, y[::-1], y[::-1], x[::-1]]
+            assert len(set(zip(a, b))) >= batch._MIN_VECTOR_BUCKET
+            shapes["jaro"].clear()
+            got = batch_jaro_winkler(a, b)
+            assert got[0] == jaro_winkler(x, y)
+            _assert_matches_scalar(got, jaro_winkler, a, b)
+            assert shapes["jaro"] == [max(len(x), len(y))]
